@@ -859,65 +859,57 @@ class _SharedGroup:
 class _ExpiryRouter:
     """A shared window's expiry subscriber.
 
-    Routes each expired edge through the session's label-triple index
-    (dict probe) and predicate router (trie walk) to the pending queues
-    of exactly the members that ingested it — O(1 + label length) plus
-    the (typically tiny) hit list, instead of visiting all Q matchers.
-    Holds the *same* mutable dict/list/set/router objects the session
-    owns, so registration churn is visible without re-wiring.
+    Routes each expired edge through the session's route-target lookup
+    (:meth:`Session._route_targets`: cached per label triple, cleared on
+    registration churn) to the pending queues of exactly the members of
+    this group that ingested it, instead of visiting all Q matchers.  An
+    expired edge arrived earlier, so its triple is almost always cached
+    already and expiry costs one dict probe plus the (typically tiny)
+    hit list.  Holds the *same* mutable member dict and dirty set the
+    session owns, so registration churn is visible without re-wiring.
     """
 
-    __slots__ = ("group_key", "routes", "generic_entries", "members",
-                 "dirty", "pred_router")
+    __slots__ = ("group_key", "route_targets", "members", "dirty")
 
-    def __init__(self, group_key, routes, generic_entries, members,
-                 dirty, pred_router) -> None:
+    def __init__(self, group_key, route_targets, members, dirty) -> None:
         self.group_key = group_key
-        self.routes = routes
-        self.generic_entries = generic_entries
+        self.route_targets = route_targets
         self.members = members
         self.dirty = dirty
-        self.pred_router = pred_router
 
-    def _candidate(self, name: str) -> Optional[_SharedMember]:
-        member = self.members.get(name)
-        if member is not None and member.group_key == self.group_key:
-            return member
-        return None
+    def __getstate__(self):
+        # route_targets is the owning session's bound method; the session
+        # re-wires it on restore (Session.__setstate__).
+        return {"group_key": self.group_key, "members": self.members,
+                "dirty": self.dirty}
+
+    def __setstate__(self, state) -> None:
+        if isinstance(state, tuple):
+            # Default slot state of checkpoints written before expiries
+            # shared the route cache: (None, {slot: value}) with the
+            # since-removed routes/generic_entries/pred_router slots.
+            state = state[1]
+        self.group_key = state["group_key"]
+        self.members = state["members"]
+        self.dirty = state["dirty"]
+        self.route_targets = None
 
     def __call__(self, edge: StreamEdge) -> None:
-        candidates: List[_SharedMember] = []
-        is_loop = edge.src == edge.dst
-        try:
-            hits = self.routes.get(
-                (edge.src_label, edge.label, edge.dst_label, is_loop), ())
-            names = [name for _, name in hits]
-            if self.pred_router:
-                names.extend(token[1] for token in self.pred_router.match(
-                    edge.src_label, edge.label, edge.dst_label, is_loop))
-        except TypeError:   # unhashable data label: no index probe
-            candidates = [m for m in self.members.values()
-                          if m.group_key == self.group_key]
-        else:
-            names.extend(name for _, name in self.generic_entries)
-            seen: set = set()
-            for name in names:
-                if name in seen:
-                    continue    # exact + predicate edges of one query
-                seen.add(name)
-                member = self._candidate(name)
-                if member is not None:
-                    candidates.append(member)
-        for member in candidates:
-            # Only matchers that ingested *this* bearer hear about its
-            # expiry: timestamp pairing keeps an older coexisting
-            # same-id bearer's expiry away from a matcher holding the
-            # newer one (and vice versa), and a matcher registered
-            # mid-stream never hears about bearers it never saw.
-            if member.matcher._live_edge_ids.get(edge.edge_id) \
+        group_key = self.group_key
+        members = self.members
+        for _, name in self.route_targets(edge):
+            member = members.get(name)
+            # Only this group's matchers that ingested *this* bearer hear
+            # about its expiry: timestamp pairing keeps an older
+            # coexisting same-id bearer's expiry away from a matcher
+            # holding the newer one (and vice versa), and a matcher
+            # registered mid-stream never hears about bearers it never
+            # saw.
+            if member is not None and member.group_key == group_key \
+                    and member.matcher._live_edge_ids.get(edge.edge_id) \
                     == edge.timestamp:
                 member.pending.append(edge)
-                self.dirty.add(member.name)
+                self.dirty.add(name)
 
 
 class Session:
@@ -1182,9 +1174,8 @@ class Session:
             shared = SharedSlidingWindow(window)
             if self._current_time > float("-inf"):
                 shared.advance(self._current_time)
-            router = _ExpiryRouter(key, self._routes, self._generic_entries,
-                                   self._members, self._dirty,
-                                   self._pred_router)
+            router = _ExpiryRouter(key, self._route_targets, self._members,
+                                   self._dirty)
             shared.subscribe(router)
             group = _SharedGroup(key, shared, router)
             self._groups[key] = group
@@ -1429,22 +1420,25 @@ class Session:
                           + self._private_entries)
         if not hits and not pred_hits:
             # One shared list for every index miss: common on selective
-            # query sets, and uncacheable per-triple without letting a
-            # high-cardinality label stream grow the cache unboundedly.
+            # query sets.  Exact-only sessions never cache misses per
+            # triple (a miss costs one dict probe, and a high-cardinality
+            # label stream must not grow the cache); with predicates a
+            # miss costs a trie walk, which the capped cache saves for
+            # the triple's later arrivals and its expiry.
             targets = cache.get(None)
             if targets is None:
                 targets = cache[None] = sorted(
                     self._generic_entries + self._private_entries)
-            return targets
-        if pred_hits:
-            # A query can hit on an exact key and a predicate edge at
-            # once — dedupe by (ordinal, name) before ordering.
-            pred_hits.update(hits)
-            entries = list(pred_hits)
+            if pred_hits is None:
+                return targets
         else:
-            entries = list(hits)
-        targets = sorted(entries + self._generic_entries
-                         + self._private_entries)
+            if pred_hits:
+                # A query can hit on an exact key and a predicate edge at
+                # once — dedupe by (ordinal, name) before ordering.
+                pred_hits.update(hits)
+                hits = pred_hits
+            targets = sorted(list(hits) + self._generic_entries
+                             + self._private_entries)
         if len(cache) >= self._ROUTE_CACHE_CAP:
             cache.clear()
         cache[key] = targets
@@ -1764,6 +1758,13 @@ class Session:
         if callable(state.get("default_window")):
             state["default_window"] = None
         return _strip_config_guard(state)
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        # Expiry routers pickle without their route lookup (this
+        # session's bound method): hand it back.
+        for group in self._groups.values():
+            group.router.route_targets = self._route_targets
 
     def __repr__(self) -> str:
         return (f"Session({len(self._matchers)} queries, "

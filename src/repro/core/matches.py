@@ -13,7 +13,9 @@ suite uses as its oracle.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, Mapping, Optional, Tuple
+from typing import (
+    Dict, FrozenSet, Hashable, Iterable, Mapping, Optional, Tuple,
+)
 
 from ..graph.edge import StreamEdge
 from .query import EdgeId, QueryGraph, VertexId
@@ -95,23 +97,32 @@ class Match:
 
     Equality and hashing are structural (on the assignment), so result sets
     can be compared across engines — the comparative benchmarks rely on this
-    to assert every baseline reports the *same* matches as Timing.
+    to assert every baseline reports the *same* matches as Timing.  The
+    assignment key is built on first comparison or hash, not per emitted
+    match: most matches are only delivered and read, and the key's
+    frozenset is several times the size of the match itself.
     """
 
     __slots__ = ("edge_map", "_key")
 
     def __init__(self, edge_map: Mapping[EdgeId, StreamEdge]) -> None:
         self.edge_map: Dict[EdgeId, StreamEdge] = dict(edge_map)
-        self._key = frozenset(
-            (eid, edge.edge_id) for eid, edge in self.edge_map.items())
+        self._key: Optional[FrozenSet] = None
+
+    def _assignment(self) -> FrozenSet:
+        key = self._key
+        if key is None:
+            key = self._key = frozenset(
+                (eid, edge.edge_id) for eid, edge in self.edge_map.items())
+        return key
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Match):
             return NotImplemented
-        return self._key == other._key
+        return self._assignment() == other._assignment()
 
     def __hash__(self) -> int:
-        return hash(self._key)
+        return hash(self._assignment())
 
     def __len__(self) -> int:
         return len(self.edge_map)

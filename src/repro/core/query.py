@@ -13,8 +13,10 @@ the user-facing builder plus everything the engine derives from it:
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import (
-    Dict, FrozenSet, Hashable, Iterable, List, Optional, Set, Tuple,
+    Callable, Dict, FrozenSet, Hashable, Iterable, List, Optional, Set,
+    Tuple,
 )
 
 from ..graph.edge import StreamEdge
@@ -143,6 +145,73 @@ def labels_compatible(query_label: Hashable, data_label: Hashable) -> bool:
     return query_label == data_label
 
 
+def _compile_shape(src_label: Hashable, edge_label: Hashable,
+                   dst_label: Hashable, is_loop: bool) -> Optional[Tuple]:
+    """Compile one query edge's labels into ``(arity, positions, key,
+    checks)`` for the shaped tier, or ``None`` if it must stay generic.
+
+    Positions index the flattened arrival ``(is-loop, src-label,
+    dst-label, edge-label components...)``; ``arity`` is the edge-label
+    tuple length, or ``None`` when the edge label is matched whole.
+    ``positions`` are the concrete ones (is-loop always), ``key`` their
+    values, and ``checks`` the ``(position, prefix)`` pairs of
+    :class:`Prefix` components.  ``ANY`` positions appear in neither.
+    """
+    if isinstance(edge_label, tuple) and not _label_is_concrete(edge_label):
+        arity: Optional[int] = len(edge_label)
+        labels = (is_loop, src_label, dst_label) + edge_label
+    else:
+        arity = None
+        labels = (is_loop, src_label, dst_label, edge_label)
+    positions: List[int] = []
+    key: List[Hashable] = []
+    checks: List[Tuple[int, str]] = []
+    for position, label in enumerate(labels):
+        if label is ANY:
+            continue
+        if isinstance(label, Prefix):
+            checks.append((position, label.prefix))
+            continue
+        if not _label_is_concrete(label):
+            return None     # nested tuple with inner wildcards
+        try:
+            hash(label)
+        except TypeError:
+            return None
+        positions.append(position)
+        key.append(label)
+    # The is-loop flag is always concrete.  When it is the only concrete
+    # position, itemgetter projects a bare value, so the key is bare too.
+    if len(positions) == 1:
+        return arity, tuple(positions), key[0], tuple(checks)
+    return arity, tuple(positions), tuple(key), tuple(checks)
+
+
+def _prefixes_match(checks: Tuple[Tuple[int, str], ...],
+                    flat: Tuple) -> bool:
+    """Whether every ``(position, prefix)`` check holds on ``flat`` —
+    :meth:`Prefix.matches` on each position."""
+    for position, prefix in checks:
+        text = prefix_text(flat[position])
+        if text is None or not text.startswith(prefix):
+            return False
+    return True
+
+
+class _LabelIndex:
+    """A query's compiled label tiers (see
+    :meth:`QueryGraph._build_label_index`) and its routing signature."""
+
+    __slots__ = ("exact", "shapes", "generic", "signatures")
+
+    def __init__(self, exact: Dict, shapes: List, generic: List,
+                 signatures: Tuple) -> None:
+        self.exact = exact
+        self.shapes = shapes
+        self.generic = generic
+        self.signatures = signatures
+
+
 class QueryVertex:
     """A labelled query vertex."""
 
@@ -186,10 +255,10 @@ class QueryGraph:
         self._vertices: Dict[VertexId, QueryVertex] = {}
         self._edges: Dict[EdgeId, QueryEdge] = {}
         self.timing = TimingOrder()
-        # (src-label, edge-label, dst-label, is-loop) → query edges, plus
-        # the predicate/generic residues, built once at validation time;
-        # ``None`` until built / after mutation.
-        self._label_index: Optional[Tuple[Dict, List, List]] = None
+        # Compiled label tiers (see _build_label_index), built once at
+        # validation time; ``None`` until built / after mutation.  Never
+        # pickled: __setstate__ leaves it to be rebuilt lazily.
+        self._label_index: Optional[_LabelIndex] = None
 
     # ------------------------------------------------------------------ #
     # Construction
@@ -278,17 +347,32 @@ class QueryGraph:
                                       stream_edge.dst_label)
                 and labels_compatible(qedge.label, stream_edge.label))
 
-    def _build_label_index(self) -> Tuple[Dict, List, List]:
-        """Bucket query edges by concrete (src-label, edge-label, dst-label,
-        is-loop) key; predicate-routable edges (every position reduces to a
-        :func:`routing_atom`) go to a middle tier carrying their atom
-        triples; the rest — tuples with inner wildcards, unhashable labels
-        — stay in a linear-scan residue.  For fully concrete labels,
-        ``labels_compatible`` is plain equality, so a dict hit is exactly
-        :meth:`edge_matches` — no re-verification needed."""
+    def _build_label_index(self) -> "_LabelIndex":
+        """Compile every query edge into one of the engine's three tiers.
+
+        * **exact** — every label is concrete (no ``ANY``/:class:`Prefix`
+          at any depth): ``labels_compatible`` is plain equality, so a
+          dict hit on ``(src-label, edge-label, dst-label, is-loop)`` is
+          exactly :meth:`edge_matches`.
+        * **shaped** — every vertex label is ``ANY``, a :class:`Prefix` or
+          concrete, and the edge label is one of those or a flat tuple of
+          them.  Edges are grouped by *shape*: the edge-label arity plus
+          which positions of ``(is-loop, src-label, dst-label,
+          edge-label components...)`` hold concrete values.  ``ANY``
+          positions drop out; concrete positions project into a dict key
+          per shape; :class:`Prefix` positions become ``startswith``
+          checks run on the dict hits only.
+        * **generic** — nested tuples with inner wildcards and unhashable
+          labels, checked by a per-arrival :meth:`edge_matches` scan.
+
+        The routing signature (:meth:`label_signatures`) is compiled
+        alongside, from the same per-edge classification.
+        """
         exact: Dict[Tuple, List[Tuple[int, EdgeId]]] = {}
-        predicates: List[Tuple[int, EdgeId, Tuple]] = []
+        shapes: Dict[Tuple, Tuple[Optional[int], Callable, Dict]] = {}
         generic: List[Tuple[int, EdgeId]] = []
+        predicates: Set[Tuple] = set()
+        has_generic = False
         for ordinal, (eid, qedge) in enumerate(self._edges.items()):
             src_label = self._vertices[qedge.src].label
             dst_label = self._vertices[qedge.dst].label
@@ -301,44 +385,74 @@ class QueryGraph:
                     exact.setdefault(key, []).append(entry)
                 except TypeError:
                     generic.append(entry)
+                    has_generic = True
                 continue
             atoms = (routing_atom(src_label), routing_atom(qedge.label),
                      routing_atom(dst_label))
             if all(atom is not None for atom in atoms):
-                predicates.append((ordinal, eid,
-                                   (atoms[0], atoms[1], atoms[2], is_loop)))
+                predicates.add((atoms[0], atoms[1], atoms[2], is_loop))
             else:
+                has_generic = True
+            compiled = _compile_shape(src_label, qedge.label, dst_label,
+                                      is_loop)
+            if compiled is None:
                 generic.append(entry)
-        self._label_index = (exact, predicates, generic)
+                continue
+            arity, positions, key, checks = compiled
+            shape = shapes.get((arity, positions))
+            if shape is None:
+                shape = shapes[(arity, positions)] = (
+                    arity, itemgetter(*positions), {})
+            shape[2].setdefault(key, []).append((ordinal, eid, checks))
+        self._label_index = _LabelIndex(
+            exact, list(shapes.values()), generic,
+            (frozenset(exact), frozenset(predicates), has_generic))
         return self._label_index
 
     def matching_edge_ids(self, stream_edge: StreamEdge) -> List[EdgeId]:
         """All query edges a stream edge is label-compatible with.
 
-        O(1) dict probe for the concrete-labelled query edges (the common
-        case on the hot path — this runs once per arrival) plus a scan of
-        only the wildcard/predicate-bearing residue; result order is edge
-        insertion order, exactly as the historical full scan produced.
+        This runs once per arrival and once per expiry, so it never walks
+        ``labels_compatible`` for hashable, at most one-tuple-deep query
+        labels (see :meth:`_build_label_index`): one dict probe for the
+        exact tier, one projection plus one dict probe per distinct shape
+        (and the :class:`Prefix` checks of its hits), and an
+        :meth:`edge_matches` scan of only the generic residue.  An
+        unhashable data label falls back to a full scan.  The result is
+        exactly the :meth:`edge_matches` scan's, in edge insertion order.
         """
         index = self._label_index
         if index is None:
             index = self._build_label_index()
-        exact, predicates, generic = index
-        key = (stream_edge.src_label, stream_edge.label,
-               stream_edge.dst_label, stream_edge.src == stream_edge.dst)
+        exact, shapes, generic = index.exact, index.shapes, index.generic
+        is_loop = stream_edge.src == stream_edge.dst
+        src_label = stream_edge.src_label
+        label = stream_edge.label
+        dst_label = stream_edge.dst_label
         try:
-            hits = exact.get(key, ())
+            hits = exact.get((src_label, label, dst_label, is_loop), ()) \
+                if exact else ()
+            if not shapes and not generic:
+                return [eid for _, eid in hits]
+            matched = list(hits)
+            for arity, project, buckets in shapes:
+                if arity is None:
+                    flat = (is_loop, src_label, dst_label, label)
+                elif isinstance(label, tuple) and len(label) == arity:
+                    flat = (is_loop, src_label, dst_label) + label
+                else:
+                    continue
+                for ordinal, eid, checks in buckets.get(project(flat), ()):
+                    if not checks or _prefixes_match(checks, flat):
+                        matched.append((ordinal, eid))
         except TypeError:       # unhashable data label: no dict probe
             return [eid for eid in self._edges
                     if self.edge_matches(eid, stream_edge)]
-        if not predicates and not generic:
-            return [eid for _, eid in hits]
-        matched = list(hits)
-        matched.extend(entry[:2] for entry in predicates
-                       if self.edge_matches(entry[1], stream_edge))
-        matched.extend(entry for entry in generic
-                       if self.edge_matches(entry[1], stream_edge))
-        matched.sort()          # interleave by insertion ordinal
+        if generic:
+            matched.extend(entry for entry in generic
+                           if self.edge_matches(entry[1], stream_edge))
+        if len(matched) > 1:
+            matched.sort()      # interleave tiers by insertion ordinal
         return [eid for _, eid in matched]
 
     def label_signatures(self) -> Tuple[FrozenSet[Tuple], FrozenSet[Tuple],
@@ -351,23 +465,22 @@ class QueryGraph:
         probe for — the same keys :meth:`matching_edge_ids` hashes a
         stream edge into.  ``predicates`` is the set of ``(src-atom,
         edge-atom, dst-atom, is-loop)`` :func:`routing_atom` triples for
-        edges carrying top-level ``ANY``/:class:`Prefix` labels — a
+        edges carrying only top-level ``ANY``/:class:`Prefix` labels — a
         :class:`~repro.core.labeltrie.PredicateRouter` resolves them in
-        O(label length) per arrival.  ``has_generic`` is ``True`` only
-        for the opaque residue (tuple labels with inner wildcards,
-        unhashable labels) that needs a per-arrival compatibility scan.
-        A stream edge that hits none of the three tiers provably matches
-        no query edge — which is what lets a multi-query
-        :class:`~repro.api.Session` route arrivals to only the queries
-        that can consume them.
+        O(label length) per arrival.  ``has_generic`` is ``True`` when
+        some edge has no routing atom triple: a tuple label with inner
+        wildcards or predicates, or an unhashable label.  Such edges may
+        still sit in the engine's *shaped* tier (no per-arrival scan
+        inside the engine), but a session cannot index them, so it routes
+        every arrival to the query.  A stream edge that hits none of the
+        three provably matches no query edge — which is what lets a
+        multi-query :class:`~repro.api.Session` route arrivals to only
+        the queries that can consume them.
         """
         index = self._label_index
         if index is None:
             index = self._build_label_index()
-        exact, predicates, generic = index
-        return (frozenset(exact),
-                frozenset(atoms for _, _, atoms in predicates),
-                bool(generic))
+        return index.signatures
 
     def distinct_term_labels(self) -> int:
         """Number of distinct (src-label, edge-label, dst-label) triples.
@@ -473,6 +586,17 @@ class QueryGraph:
             raise ValueError("query graph must be weakly connected")
         if self._label_index is None:
             self._build_label_index()
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        state["_label_index"] = None
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        # Older checkpoints carry a cache in a previous layout: drop
+        # whatever arrives and recompile on first use.
+        self.__dict__.update(state)
+        self._label_index = None
 
     def __repr__(self) -> str:
         return (f"QueryGraph({self.num_vertices} vertices, "

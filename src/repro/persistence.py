@@ -64,6 +64,9 @@ from .api import MatcherBase, Session
 #: query label indexes are three-way (exact / predicate atoms / generic),
 #: and the facade's ``_query_routes`` records gained the predicate atom
 #: triples.  Labels may be :class:`~repro.core.query.Prefix` patterns.
+#: Later v9 writers pickle neither a query's compiled label index nor an
+#: expiry router's route lookup; both are rebuilt on load, and the
+#: fields earlier v9 files carry for them are dropped on restore.
 CHECKPOINT_VERSION = 9
 
 _MAGIC = b"timingsubg-checkpoint"

@@ -1,5 +1,7 @@
 """Match objects and the Definition-4 verifier (the suite's oracle checks)."""
 
+import pickle
+
 import pytest
 
 from repro import Match, verify_match
@@ -99,6 +101,17 @@ class TestMatchObject:
         other = dict(paper_match)
         other[1] = make_edge("a2", "b3", 6)
         assert Match(paper_match) != Match(other)
+
+    def test_assignment_key_is_built_on_first_use(self, paper_match):
+        m = Match(paper_match)
+        assert m._key is None
+        twin = pickle.loads(pickle.dumps(m))
+        assert twin._key is None and twin == m
+        assert hash(twin) == hash(Match(dict(paper_match)))
+        assert m._key is not None
+        # A pickle carrying a built key restores equal and hashes alike.
+        restored = pickle.loads(pickle.dumps(m))
+        assert restored._key == m._key and restored == twin
 
     def test_accessors(self, q, paper_match):
         m = Match(paper_match)

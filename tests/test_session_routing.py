@@ -415,3 +415,64 @@ class TestCheckpointRestore:
         restored = Session.restore(buffer)
         assert restored._dirty == set()
         assert restored.result_counts() == session.result_counts()
+
+
+class TestExpiryRouting:
+    def test_expiries_reuse_the_arrival_route_cache(self, monkeypatch):
+        """An expired edge arrived earlier, so its label triple's targets
+        are already cached: expiry walks no predicate trie of its own."""
+        from repro.core.labeltrie import PredicateRouter
+        walks = []
+        original = PredicateRouter.match
+
+        def counting(self, *args):
+            walks.append(args)
+            return original(self, *args)
+
+        monkeypatch.setattr(PredicateRouter, "match", counting)
+        edges = labeled_stream(61, 300)
+        session = Session(window=3.0)
+        for name, query in query_set().items():
+            session.register(name, query)
+        session.push_many(edges)
+        triples = {(e.src_label, e.label, e.dst_label, e.src == e.dst)
+                   for e in edges}
+        assert session._groups and walks
+        assert len(walks) <= len(triples)
+
+    def test_pre_cache_router_slot_state_restores(self, monkeypatch):
+        """Checkpoints written before expiries shared the route cache
+        pickled the router's raw slots, including the since-removed
+        index fields; they restore and keep routing expiries."""
+        from repro.api import _ExpiryRouter
+        edges = labeled_stream(67, 240)
+        half = len(edges) // 2
+        continuous = Session(window=6.0)
+        for name, query in query_set().items():
+            continuous.register(name, query)
+        reference = Counter(continuous.push_many(edges))
+
+        session = Session(window=6.0)
+        for name, query in query_set().items():
+            session.register(name, query)
+        first = Counter(session.push_many(edges[:half]))
+
+        def legacy_state(router):
+            return (None, {"group_key": router.group_key,
+                           "routes": session._routes,
+                           "generic_entries": session._generic_entries,
+                           "members": router.members,
+                           "dirty": router.dirty,
+                           "pred_router": session._pred_router})
+
+        monkeypatch.setattr(_ExpiryRouter, "__getstate__", legacy_state)
+        buffer = io.BytesIO()
+        session.checkpoint(buffer)
+        monkeypatch.undo()
+        buffer.seek(0)
+        restored = Session.restore(buffer)
+        for group in restored._groups.values():
+            assert group.router.route_targets == restored._route_targets
+        second = Counter(restored.push_many(edges[half:]))
+        assert first + second == reference
+        assert restored.result_counts() == continuous.result_counts()
